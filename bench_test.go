@@ -20,7 +20,6 @@ import (
 	"flexio/internal/hpio"
 	"flexio/internal/mpiio"
 	"flexio/internal/sim"
-	"flexio/internal/twophase"
 )
 
 // --- Tracked collective matrix: the BENCH_PR3.json trajectory ---
@@ -68,7 +67,7 @@ func BenchmarkFig4(b *testing.B) {
 					benchWrite(b, wl, func() mpiio.Info {
 						var coll mpiio.Collective
 						if series == "old+vec" {
-							coll = twophase.New()
+							coll = core.New(core.ROMIO())
 						} else {
 							coll = core.New(core.Options{})
 						}
@@ -157,7 +156,7 @@ func BenchmarkAblationExchange(b *testing.B) {
 		b.Run(impl, func(b *testing.B) {
 			benchWrite(b, wl, func() mpiio.Info {
 				if impl == "old" {
-					return mpiio.Info{Collective: twophase.New()}
+					return mpiio.Info{Collective: core.New(core.ROMIO())}
 				}
 				return mpiio.Info{Collective: core.New(core.Options{})}
 			})

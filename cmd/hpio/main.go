@@ -24,7 +24,6 @@ import (
 	"flexio/internal/realm"
 	"flexio/internal/sim"
 	"flexio/internal/stats"
-	"flexio/internal/twophase"
 )
 
 func main() {
@@ -35,7 +34,7 @@ func main() {
 	aggs := flag.Int("aggs", 0, "I/O aggregators (0 = all processes)")
 	nodes := flag.Int("nodes", 0, "ranks per simulated node (0 = one rank per node)")
 	preagg := flag.Bool("preagg", false, "node-local pre-aggregation (two-level exchange); with -impl new also installs the topology-aware node-local realms unless -cyclic is set")
-	impl := flag.String("impl", "new", "collective implementation: new, old, or none")
+	impl := flag.String("impl", "new", "collective implementation: new, old (the core.ROMIO baseline), or none")
 	method := flag.String("method", "datasieve", "buffer access method for the new code: datasieve, naive, listio, conditional")
 	comm := flag.String("comm", "nonblocking", "data exchange for the new code: nonblocking or alltoallw")
 	align := flag.Int64("align", 0, "file realm alignment in bytes (0 = off)")
@@ -159,11 +158,9 @@ func main() {
 	var coll mpiio.Collective
 	switch *impl {
 	case "old":
-		tw := twophase.New()
-		if *preagg {
-			tw.WithPreagg()
-		}
-		coll = tw
+		o := core.ROMIO()
+		o.Preagg = *preagg
+		coll = core.New(o)
 	case "none":
 		coll = nil
 	case "new":

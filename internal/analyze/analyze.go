@@ -218,7 +218,7 @@ func Analyze(d *metrics.Dump) []Finding {
 		fs = append(fs, finding(SevWarning, "internode-heavy",
 			fmt.Sprintf("%.0f%% of shuffle bytes cross node boundaries (%d inter vs %d intra) despite %d ranks sharing %d nodes",
 				frac*100, inter, intra, d.Ranks, d.Nodes),
-			"enable node-local pre-aggregation (core.Options.Preagg / twophase.WithPreagg) and the topology-aware assigner (realm.NodeLocal) so co-resident ranks merge requests before data leaves the node",
+			"enable node-local pre-aggregation (core.Options.Preagg) and the topology-aware assigner (realm.NodeLocal) so co-resident ranks merge requests before data leaves the node",
 			frac*10))
 	}
 

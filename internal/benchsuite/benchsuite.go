@@ -25,7 +25,6 @@ import (
 	"flexio/internal/realm"
 	"flexio/internal/sim"
 	"flexio/internal/trace"
-	"flexio/internal/twophase"
 )
 
 // Config names one benchmark point of the tracked matrix.
@@ -33,13 +32,14 @@ type Config struct {
 	// Name is the stable identifier entries are keyed by in the JSON
 	// trajectory; renaming a config orphans its history.
 	Name string
-	// Engine selects the collective implementation: "core" or "twophase".
+	// Engine selects the collective implementation: "core", or "twophase"
+	// for the ROMIO baseline (core.ROMIO).
 	Engine string
 	// Comm is the core engine's exchange strategy (ignored for twophase).
 	Comm core.CommStrategy
 	// Write selects the direction.
 	Write bool
-	// PFR enables persistent file realms (core only): the steady-state
+	// PFR enables persistent file realms: the steady-state
 	// configuration the paper's time-step workloads run in.
 	PFR bool
 	// Pattern is the HPIO-style workload every step performs.
@@ -83,9 +83,8 @@ type Config struct {
 	Preagg bool
 	// NodeLocal swaps the core engine's realm assigner for the
 	// topology-aware realm.NodeLocal policy, which places each byte range
-	// on an aggregator of the node that accesses it (ignored for
-	// twophase). Pre-aggregation only reduces inter-node shuffle bytes
-	// when paired with this placement.
+	// on an aggregator of the node that accesses it. Pre-aggregation only
+	// reduces inter-node shuffle bytes when paired with this placement.
 	NodeLocal bool
 	// Integrity arms the checksummed datapath end to end: every message
 	// payload is checksummed at the sender and re-verified at the receiver,
@@ -330,21 +329,16 @@ func (c Config) nodeRanks() int {
 }
 
 func (c Config) info() mpiio.Info {
-	var coll mpiio.Collective
+	opts := core.Options{Comm: c.Comm}
 	if c.Engine == "twophase" {
-		tw := twophase.New()
-		if c.Preagg {
-			tw.WithPreagg()
-		}
-		coll = tw
-	} else {
-		opts := core.Options{Comm: c.Comm, Persistent: c.PFR, Preagg: c.Preagg}
-		if c.NodeLocal {
-			opts.Assigner = realm.NodeLocal{}
-		}
-		coll = core.New(opts)
+		opts = core.ROMIO()
 	}
-	return mpiio.Info{Collective: coll, CbNodes: c.Naggs, CollBufSize: c.CollBuf}
+	opts.Persistent = c.PFR
+	opts.Preagg = c.Preagg
+	if c.NodeLocal {
+		opts.Assigner = realm.NodeLocal{}
+	}
+	return mpiio.Info{Collective: core.New(opts), CbNodes: c.Naggs, CollBufSize: c.CollBuf}
 }
 
 // Session is a warm steady-state harness: one simulated world with the

@@ -34,7 +34,6 @@ import (
 	"flexio/internal/sim"
 	"flexio/internal/stats"
 	"flexio/internal/trace"
-	"flexio/internal/twophase"
 )
 
 // Fault names the injection pattern a scenario applies.
@@ -71,12 +70,13 @@ const (
 // Scenario is one deterministic chaos experiment.
 type Scenario struct {
 	// Engine selects the collective: "core-nb" (nonblocking pipeline),
-	// "core-a2a" (Alltoallw), or "twophase" (ROMIO-style baseline).
+	// "core-a2a" (Alltoallw), or "twophase" (the core.ROMIO baseline).
 	Engine string
 	// Write selects the transfer direction.
 	Write bool
 	// Method is the buffered I/O method the core engine drains rounds
-	// with (ignored by twophase, which integrates its own sieve).
+	// with (ignored by twophase, which sieves inside the collective
+	// buffer).
 	Method mpiio.Method
 	// Degraded enables the core engine's fall-back-to-naive recovery.
 	Degraded bool
@@ -115,7 +115,7 @@ func (s Scenario) wantClass() int64 {
 	case FaultGiveup:
 		return mpiio.ClassTransient
 	case FaultSieveHard:
-		if s.Degraded && s.Write && s.Engine != "twophase" {
+		if s.Degraded && s.Write {
 			return mpiio.ClassOK
 		}
 		return mpiio.ClassIO
@@ -176,20 +176,27 @@ func (s Scenario) schedule() *pfs.FaultSchedule {
 	return sched
 }
 
+// engineOptions maps a scenario engine label to its core configuration:
+// "core-a2a" is the Alltoallw exchange, "twophase" the ROMIO baseline
+// (core.ROMIO, whose integrated sieve overrides method), and anything else
+// the nonblocking pipeline.
+func engineOptions(engine string, method mpiio.Method, preagg bool) core.Options {
+	o := core.Options{Method: method}
+	switch engine {
+	case "core-a2a":
+		o.Comm = core.Alltoallw
+	case "twophase":
+		o = core.ROMIO()
+	}
+	o.Preagg = preagg
+	return o
+}
+
 // collective instantiates the engine under test.
 func (s Scenario) collective() mpiio.Collective {
-	switch s.Engine {
-	case "core-a2a":
-		return core.New(core.Options{Comm: core.Alltoallw, Method: s.Method, Degraded: s.Degraded, Preagg: s.Preagg})
-	case "twophase":
-		tw := twophase.New()
-		if s.Preagg {
-			tw.WithPreagg()
-		}
-		return tw
-	default:
-		return core.New(core.Options{Method: s.Method, Degraded: s.Degraded, Preagg: s.Preagg})
-	}
+	o := engineOptions(s.Engine, s.Method, s.Preagg)
+	o.Degraded = s.Degraded
+	return core.New(o)
 }
 
 // Outcome reports what one scenario run observed.

@@ -17,7 +17,6 @@ import (
 	"flexio/internal/sim"
 	"flexio/internal/stats"
 	"flexio/internal/trace"
-	"flexio/internal/twophase"
 )
 
 // CorruptPlane names where a corruption scenario injects bit damage.
@@ -80,18 +79,7 @@ func (s CorruptScenario) Name() string {
 
 // collective instantiates the engine under test.
 func (s CorruptScenario) collective() mpiio.Collective {
-	switch s.Engine {
-	case "core-a2a":
-		return core.New(core.Options{Comm: core.Alltoallw, Method: mpiio.DataSieve, Preagg: s.Preagg})
-	case "twophase":
-		tw := twophase.New()
-		if s.Preagg {
-			tw.WithPreagg()
-		}
-		return tw
-	default:
-		return core.New(core.Options{Method: mpiio.DataSieve, Preagg: s.Preagg})
-	}
+	return core.New(engineOptions(s.Engine, mpiio.DataSieve, s.Preagg))
 }
 
 // wireSchedule builds the in-flight corruption plan: every payload on

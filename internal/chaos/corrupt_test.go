@@ -4,7 +4,12 @@ import (
 	"os"
 	"testing"
 
+	"flexio/internal/datatype"
+	"flexio/internal/hpio"
+	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
+	"flexio/internal/pfs"
+	"flexio/internal/sim"
 )
 
 // TestCorruptMatrix is the cross-engine integrity property test: every
@@ -79,5 +84,51 @@ func TestParseCorruptSpec(t *testing.T) {
 	}
 	if _, err := ParseCorruptSpec("core-nb", true, "wire:often", 5); err == nil {
 		t.Fatal("bad modifier accepted")
+	}
+}
+
+// TestCorruptOneRequestReadAborts: a single request list lost to
+// corruption on one link reads as an empty access at that aggregator, so
+// its client would wait forever for read data that never comes. Every
+// engine must instead agree on a ClassIntegrity abort before the rounds.
+// (The soak matrix corrupts every link at once, which empties every
+// access and never reaches the rounds.)
+func TestCorruptOneRequestReadAborts(t *testing.T) {
+	for _, engine := range []string{"core-nb", "core-a2a", "twophase"} {
+		t.Run(engine, func(t *testing.T) {
+			wl := hpio.Pattern{Ranks: 4, RegionSize: 64, RegionCount: 32, Spacing: 64}
+			cfg := sim.DefaultConfig()
+			w := mpi.NewWorld(wl.Ranks, cfg)
+			fs := pfs.NewFileSystem(cfg)
+			w.EnableIntegrity(1)
+			fs.EnableIntegrity(1, 0)
+			s := CorruptScenario{Engine: engine}
+			if err := s.seed(w, fs, "one.dat", wl); err != nil {
+				t.Fatal(err)
+			}
+			// Rank 1's request to aggregator 0 is the first payload on
+			// that link; every delivery attempt of it arrives corrupted.
+			w.SetRankFaults(mpi.NewRankFaultSchedule(1).Corrupt(1, 0, 1, integrityRepeatUnrepairable, 1))
+			errs := make([]error, wl.Ranks)
+			w.Run(func(p *mpi.Proc) {
+				f, err := mpiio.Open(p, fs, "one.dat", mpiio.Info{Collective: s.collective(), CollBufSize: 512})
+				if err != nil {
+					errs[p.Rank()] = err
+					return
+				}
+				ft, disp := wl.Filetype(p.Rank())
+				if err := f.SetView(disp, datatype.Bytes(1), ft); err != nil {
+					errs[p.Rank()] = err
+					return
+				}
+				mt, n := wl.Memtype()
+				errs[p.Rank()] = f.ReadAll(make([]byte, n), mt, wl.RegionCount)
+			})
+			for r, err := range errs {
+				if c := mpiio.ErrorClass(err); c != mpiio.ClassIntegrity {
+					t.Errorf("rank %d: class %s, want integrity (%v)", r, mpiio.ClassName(c), err)
+				}
+			}
+		})
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"flexio/internal/sim"
 	"flexio/internal/stats"
 	"flexio/internal/trace"
-	"flexio/internal/twophase"
 )
 
 // RankFault names a rank-level injection pattern — process failures, as
@@ -69,8 +68,8 @@ const (
 // byte-identical to a fault-free run.
 type RankScenario struct {
 	// Engine selects the collective: "core-nb", "core-a2a", or
-	// "twophase". The flexio engines recover by realm reassignment; the
-	// baseline can only re-run under its fixed domains.
+	// "twophase" (the core.ROMIO baseline). Every engine recovers by realm
+	// reassignment (core.ResumeCollective).
 	Engine string
 	// Fault is the rank-level injection pattern.
 	Fault RankFault
@@ -213,20 +212,8 @@ func (s RankScenario) Run() (*RankOutcome, error) {
 	}
 
 	journal := mpiio.NewWriteJournal()
-	baseOpts := core.Options{Method: mpiio.DataSieve, Journal: journal, Preagg: s.Preagg}
-	if s.Engine == "core-a2a" {
-		baseOpts.Comm = core.Alltoallw
-	}
-	newColl := func() mpiio.Collective {
-		if s.Engine == "twophase" {
-			tw := twophase.NewJournaled(journal)
-			if s.Preagg {
-				tw.WithPreagg()
-			}
-			return tw
-		}
-		return core.New(baseOpts)
-	}
+	baseOpts := engineOptions(s.Engine, mpiio.DataSieve, s.Preagg)
+	baseOpts.Journal = journal
 
 	// attempt runs one collective transfer on every rank and returns the
 	// per-rank results (nil error and false mismatch for a rank whose
@@ -285,7 +272,7 @@ func (s RankScenario) Run() (*RankOutcome, error) {
 		}
 	}
 
-	errs, mism := attempt(newColl())
+	errs, mism := attempt(core.New(baseOpts))
 
 	// Drop-storm is a latency fault: the collective must complete in one
 	// attempt with the redeliveries on the books.
@@ -352,18 +339,7 @@ func (s RankScenario) Run() (*RankOutcome, error) {
 	// rejoins), demote the dead ranks from aggregator duty, and resume.
 	// The journal lets same-epoch reruns skip the rounds already durable.
 	w.ReviveAll()
-	var resume mpiio.Collective
-	if s.Engine == "twophase" {
-		journal.MarkResume(dead)
-		tw := twophase.NewJournaled(journal)
-		if s.Preagg {
-			tw.WithPreagg()
-		}
-		resume = tw
-	} else {
-		resume = core.ResumeCollective(baseOpts, journal, dead)
-	}
-	errs, mism = attempt(resume)
+	errs, mism = attempt(core.ResumeCollective(baseOpts, journal, dead))
 	for r, err := range errs {
 		if err != nil {
 			return out, fmt.Errorf("rank %d failed on resume: %v", r, err)

@@ -11,7 +11,6 @@ import (
 	"flexio/internal/realm"
 	"flexio/internal/sim"
 	"flexio/internal/stats"
-	"flexio/internal/twophase"
 )
 
 // genWorkload draws a random HPIO-style workload small enough to run fast.
@@ -32,17 +31,20 @@ func genWorkload(rng *rand.Rand) Workload {
 func genInfo(rng *rand.Rand, wl Workload) mpiio.Info {
 	var coll mpiio.Collective
 	if rng.Intn(4) == 0 {
-		coll = twophase.New()
+		coll = core.New(core.ROMIO())
 	} else {
 		o := core.Options{Validate: true}
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0:
 			o.Method = mpiio.DataSieve
 		case 1:
 			o.Method = mpiio.Naive
-		default:
+		case 2:
 			o.Method = mpiio.ListIO
+		default:
+			o.Method = mpiio.Integrated
 		}
+		o.Exchange = core.ExchangeMode(rng.Intn(3))
 		if rng.Intn(2) == 0 {
 			o.Comm = core.Alltoallw
 		}
@@ -139,7 +141,7 @@ func TestTraceDeterministicExport(t *testing.T) {
 // recorded at the same call sites over the same clock intervals.
 func TestTraceMatchesStats(t *testing.T) {
 	wl := Workload{Ranks: 5, RegionSize: 64, RegionCount: 40, Spacing: 16, MemNoncontig: true, MemGap: 3}
-	for _, coll := range []mpiio.Collective{twophase.New(), core.New(core.Options{Validate: true})} {
+	for _, coll := range []mpiio.Collective{core.New(core.ROMIO()), core.New(core.Options{Validate: true})} {
 		res, err := RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: coll, CollBufSize: 1 << 10})
 		if err != nil {
 			t.Fatalf("%s: %v", coll.Name(), err)
@@ -178,7 +180,7 @@ func TestRandomizedOldNewEquivalence(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		wl := genWorkload(rng)
 		cb := int64(512 << rng.Intn(5))
-		old, err := RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: twophase.New(), CollBufSize: cb})
+		old, err := RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: core.New(core.ROMIO()), CollBufSize: cb})
 		if err != nil {
 			t.Fatalf("trial %d old: %v", trial, err)
 		}

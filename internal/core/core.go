@@ -21,6 +21,11 @@ const (
 	tagBack = 5000
 )
 
+// lostRequest is the round count an aggregator contributes when a request
+// it received was unrecoverably corrupted (no real collective has that
+// many rounds).
+const lostRequest = 1 << 62
+
 // CommStrategy selects how the data exchange phase moves bytes.
 type CommStrategy int
 
@@ -41,6 +46,40 @@ func (c CommStrategy) String() string {
 		return "alltoallw"
 	}
 	return "nonblocking"
+}
+
+// ExchangeMode selects what a client ships each aggregator in the request
+// exchange.
+type ExchangeMode int
+
+const (
+	// ExchangeFiletype ships the flattened filetype (paper §5.3): O(D) on
+	// the wire, and each aggregator intersects it with its realm, O(MA)
+	// work in all.
+	ExchangeFiletype ExchangeMode = iota
+	// ExchangeTree ships the filetype's constructor tree instead (paper
+	// §5.3's "higher level description"): smaller still for regular
+	// nested types, at the cost of the aggregator expanding the tree on
+	// arrival.
+	ExchangeTree
+	// ExchangeAccess is the original ROMIO protocol: the client flattens
+	// its whole access into offset/length pairs, splits them per
+	// aggregator, and ships each aggregator only its share. O(M) on the
+	// wire and O(M) computation, charged one pair per segment split and
+	// one per segment received.
+	ExchangeAccess
+)
+
+// String names the exchange mode.
+func (e ExchangeMode) String() string {
+	switch e {
+	case ExchangeTree:
+		return "tree"
+	case ExchangeAccess:
+		return "access"
+	default:
+		return "filetype"
+	}
 }
 
 // Options configures the engine. The zero value gives the paper's
@@ -73,11 +112,9 @@ type Options struct {
 	// HeapMerge enables the client-side binary-heap merge across
 	// aggregator realms instead of one access pass per aggregator.
 	HeapMerge bool
-	// TreeRequests ships the filetype's constructor tree instead of its
-	// flattened form in the request exchange (paper §5.3's "higher
-	// level description"): smaller still for regular nested types, at
-	// the cost of the aggregator expanding the tree on arrival.
-	TreeRequests bool
+	// Exchange selects the request representation clients ship to the
+	// aggregators.
+	Exchange ExchangeMode
 	// Degraded enables graceful degradation: when a round's buffer
 	// access fails under data sieving, the aggregator re-issues that
 	// round with naive per-segment I/O before reporting an error
@@ -99,7 +136,7 @@ type Options struct {
 	// aggregators on their behalf, so only one rank per node talks across
 	// the network. Requires a node map with multi-rank nodes to have any
 	// effect; output stays byte-identical to the per-rank exchange.
-	// Overrides TreeRequests (merged accesses have no constructor tree, so
+	// Overrides ExchangeTree (merged accesses have no constructor tree, so
 	// every request travels in flattened form).
 	Preagg bool
 	// SpreadAggs spreads the cb_nodes aggregators across distinct nodes
@@ -201,9 +238,27 @@ func New(o Options) *Impl {
 	return &Impl{o: o}
 }
 
-// Name implements mpiio.Collective.
+// ROMIO returns the options that reproduce the original ROMIO two-phase
+// implementation the paper compares against (Thakur, Gropp, Lusk, "Data
+// sieving and collective I/O in ROMIO"): even, contiguous file domains
+// over the aggregate access region, flattened-access requests pre-split
+// per aggregator, and data sieving done inside the collective buffer.
+func ROMIO() Options {
+	return Options{Exchange: ExchangeAccess, Method: mpiio.Integrated}
+}
+
+// Name implements mpiio.Collective. The exchange mode and buffer access
+// method appear when they differ from the defaults, so the ROMIO
+// configuration reads flexio(even,nonblocking,access,integrated).
 func (i *Impl) Name() string {
-	return fmt.Sprintf("flexio(%s,%s)", i.o.Assigner.Name(), i.o.Comm)
+	name := fmt.Sprintf("flexio(%s,%s", i.o.Assigner.Name(), i.o.Comm)
+	if i.o.Exchange != ExchangeFiletype {
+		name += "," + i.o.Exchange.String()
+	}
+	if i.o.Method != mpiio.DataSieve {
+		name += "," + i.o.Method.String()
+	}
+	return name + ")"
 }
 
 // Options returns the engine's configuration.
@@ -315,16 +370,23 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 
 	view := f.View()
 	ftSize := view.Filetype.Size()
+	access := i.o.Exchange == ExchangeAccess
 	var myFlat datatype.Flat
-	if dataLen > 0 && ftSize > 0 {
+	switch {
+	case access:
+		// The whole access flattened into offset/length pairs, ROMIO's
+		// currency (ResolveAccess charges the O(M) walk).
+		myFlat = segsFlat(f.ResolveAccess(dataLen))
+	case dataLen > 0 && ftSize > 0:
 		instances := (dataLen + ftSize - 1) / ftSize
 		myFlat = datatype.FlatOf(view.Filetype, view.Disp, instances)
 		myFlat.Limit = dataLen
-	} else {
+		f.ChargePairs(int64(len(myFlat.Segs)))
+	default:
 		myFlat = datatype.FlatOf(datatype.Bytes(0), view.Disp, 0)
 		myFlat.Limit = 0
+		f.ChargePairs(int64(len(myFlat.Segs)))
 	}
-	f.ChargePairs(int64(len(myFlat.Segs)))
 
 	// --- Aggregate access region. ---
 	var st, en int64 = 1 << 62, -1
@@ -434,26 +496,46 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 		p.Metrics.Inc(metrics.CMemoMisses)
 		p.Trace.Instant2(p.Clock(), "isect_cache",
 			trace.S("side", "client"), trace.S("result", "miss"))
-		ce = &clientEntry{}
-		if i.o.TreeRequests && pre == nil {
-			// A merged access has no constructor tree; pre-aggregated
-			// requests always travel in flattened form.
-			ce.enc = encodeTreeRequest(view.Filetype, myFlat.Disp, myFlat.Count, myFlat.Limit)
+		ce = &clientEntry{enc: make([][]byte, naggs)}
+		if access {
+			// The client splits its access per aggregator before the
+			// send: the intersection comes first, and each aggregator
+			// receives only its own coalesced share.
+			ce.pieces, _ = clientPieces(scr, myFlat, realms, cb, naggs, dataLen, true)
+			for a := range ce.enc {
+				ce.enc[a] = encodeShare(ce.pieces[a])
+			}
 		} else {
-			ce.enc = myFlat.Encode()
+			// Every aggregator receives the same description. A merged
+			// access has no constructor tree; pre-aggregated requests
+			// always travel in flattened form.
+			var enc []byte
+			if i.o.Exchange == ExchangeTree && pre == nil {
+				enc = encodeTreeRequest(view.Filetype, myFlat.Disp, myFlat.Count, myFlat.Limit)
+			} else {
+				enc = myFlat.Encode()
+			}
+			for a := range ce.enc {
+				ce.enc[a] = enc
+			}
 		}
 	}
+	if access {
+		// One pair per access segment split across the aggregators.
+		f.ChargePairs(int64(len(myFlat.Segs)))
+	}
 
-	// --- Request exchange: flattened filetypes (O(D) on the wire) or
-	// constructor trees (smaller still for regular nested types). The
-	// exchange itself always happens — only the decoding is memoizable,
-	// keyed by a hash of the bytes actually received. ---
+	// --- Request exchange: flattened filetypes (O(D) on the wire),
+	// constructor trees (smaller still for regular nested types), or
+	// per-aggregator shares of the flattened access (O(M)). The exchange
+	// itself always happens — only the decoding is memoizable, keyed by a
+	// hash of the bytes actually received. ---
 	t0 = p.Clock()
 	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "requests"))
 	if pre == nil || pre.plan.Leads(p.Rank()) {
 		for a := 0; a < naggs; a++ {
-			p.Stats.Add(stats.CReqBytes, int64(len(ce.enc)))
-			p.Send(a, tagFlat, ce.enc)
+			p.Stats.Add(stats.CReqBytes, int64(len(ce.enc[a])))
+			p.Send(a, tagFlat, ce.enc[a])
 		}
 	}
 	var ae *aggEntry
@@ -486,7 +568,7 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 			p.Metrics.Inc(metrics.CMemoHits)
 			p.Trace.Instant2(p.Clock(), "isect_cache",
 				trace.S("side", "agg"), trace.S("result", "hit"))
-			f.ChargePairs(ae.charges[0]) // tree-expansion replay
+			f.ChargePairs(ae.charges[0]) // decode-charge replay
 		} else {
 			p.Stats.Add(stats.CIsectCacheMisses, 1)
 			p.Metrics.Inc(metrics.CMemoMisses)
@@ -494,7 +576,9 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 				trace.S("side", "agg"), trace.S("result", "miss"))
 			ae = &aggEntry{}
 			flats = make([]datatype.Flat, p.Size())
-			var expand int64
+			// Decoding work: the tree expansion, or one pair per access
+			// segment received.
+			var decode int64
 			for c, msg := range scr.msgs {
 				if msg == nil {
 					// The client is dead or unresponsive: stand in an
@@ -506,11 +590,17 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 				}
 				var fl datatype.Flat
 				var err error
-				if i.o.TreeRequests && pre == nil {
+				switch {
+				case access:
+					var segs []datatype.Seg
+					segs, err = datatype.DecodeSegs(msg)
+					decode += int64(len(segs))
+					fl = segsFlat(segs)
+				case i.o.Exchange == ExchangeTree && pre == nil:
 					var work int64
 					fl, work, err = decodeTreeRequest(msg)
-					expand += work
-				} else {
+					decode += work
+				default:
 					fl, err = datatype.DecodeFlat(msg)
 				}
 				if err != nil {
@@ -518,8 +608,8 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 				}
 				flats[c] = fl
 			}
-			f.ChargePairs(expand)
-			ae.charges = append(ae.charges, expand)
+			f.ChargePairs(decode)
+			ae.charges = append(ae.charges, decode)
 		}
 	}
 	p.ChargeTime(stats.PExchange, p.Clock()-t0)
@@ -528,51 +618,16 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 	// --- Client-side intersection: my access against every realm. ---
 	// Flatten time is charged (and traced) by the ChargePairs calls below;
 	// no blanket interval here, or the pair processing would count twice.
+	// Under ExchangeAccess the pieces were built before the send, and the
+	// split is all the client pays for.
 	if !clientHit {
-		ce.pieces = make([]*roundPieces, naggs)
-		if dataLen > 0 {
-			if i.o.HeapMerge {
-				perAgg := make([][]piece, naggs)
-				ac := myFlat.Cursor()
-				rcs := make([]*datatype.Cursor, naggs)
-				var rwork int64
-				for a := range realms {
-					rcs[a] = realms[a].Cursor()
-				}
-				hw := heapMerge(&scr.heap, ac, rcs, cb, func(a int, pc piece) {
-					perAgg[a] = append(perAgg[a], pc)
-				})
-				for _, rc := range rcs {
-					rwork += rc.Work()
-				}
-				w := ac.Work() + rwork + hw
-				f.ChargePairs(w)
-				ce.charges = append(ce.charges, w)
-				for a := range perAgg {
-					ce.pieces[a] = groupRounds(perAgg[a])
-				}
-			} else {
-				// The paper's base client algorithm: one pass over the
-				// access per aggregator — O(M·A) for enumerated
-				// filetypes, near O(M) for succinct ones thanks to
-				// instance skipping.
-				for a := 0; a < naggs; a++ {
-					ac := myFlat.Cursor()
-					rc := realms[a].Cursor()
-					var ps []piece
-					intersect(ac, rc, cb, func(pc piece) { ps = append(ps, pc) })
-					w := ac.Work() + rc.Work()
-					f.ChargePairs(w)
-					ce.charges = append(ce.charges, w)
-					ce.pieces[a] = groupRounds(ps)
-				}
-			}
+		if !access {
+			ce.pieces, ce.charges = clientPieces(scr, myFlat, realms, cb, naggs, dataLen, i.o.HeapMerge)
 		}
 		i.memo.putClient(ck, ce)
-	} else {
-		for _, n := range ce.charges {
-			f.ChargePairs(n)
-		}
+	}
+	for _, n := range ce.charges {
+		f.ChargePairs(n)
 	}
 	myPieces := ce.pieces
 
@@ -588,9 +643,13 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 				rc := realms[p.Rank()].Cursor()
 				var ps []piece
 				intersect(ac, rc, cb, func(pc piece) { ps = append(ps, pc) })
-				w := ac.Work() + rc.Work()
-				f.ChargePairs(w)
-				ae.charges = append(ae.charges, w)
+				if !access {
+					// A received access share is already split; carving it
+					// into rounds is free, as in ROMIO.
+					w := ac.Work() + rc.Work()
+					f.ChargePairs(w)
+					ae.charges = append(ae.charges, w)
+				}
 				ae.pieces[c] = groupRounds(ps)
 				if ae.pieces[c].rounds > ae.rounds {
 					ae.rounds = ae.pieces[c].rounds
@@ -610,7 +669,24 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 		myRounds = ae.rounds
 	}
 
-	ntimes := int(p.AllreduceMaxInt64(int64(myRounds)))
+	// A request that arrived corrupted past its re-request budget reads as
+	// an empty access at its aggregator, whose client would then wait
+	// forever for read data that never comes. Only that aggregator knows,
+	// so it poisons the round-count reduction and every rank agrees on the
+	// abort before the rounds begin. This costs nothing on the healthy
+	// path, and IntegrityFailure is nil unless checksums are armed.
+	rounds := int64(myRounds)
+	if p.IntegrityFailure() != nil {
+		rounds = lostRequest
+	}
+	ntimes := int(p.AllreduceMaxInt64(rounds))
+	if ntimes == lostRequest {
+		var ierr error
+		if e := p.TakeIntegrityFailure(); e != nil {
+			ierr = fmt.Errorf("core: request exchange: %w", e)
+		}
+		return mpiio.AgreeError(p, ierr)
+	}
 	if ntimes == 0 {
 		p.Barrier()
 		// A peer failure can shrink the surviving access to nothing; the
@@ -680,6 +756,81 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 		return f.UnpackMemory(stream, buf, memtype, count)
 	}
 	return nil
+}
+
+// clientPieces intersects this rank's access with every realm and
+// returns the per-aggregator piece lists with the pair charges the walk
+// incurs, in call order (the caller charges them, and a memo hit replays
+// them).
+func clientPieces(scr *rankScratch, access datatype.Flat, realms []realm.Realm,
+	cb int64, naggs int, dataLen int64, useHeap bool) ([]*roundPieces, []int64) {
+
+	pieces := make([]*roundPieces, naggs)
+	if dataLen <= 0 {
+		return pieces, nil
+	}
+	if useHeap {
+		perAgg := make([][]piece, naggs)
+		ac := access.Cursor()
+		rcs := make([]*datatype.Cursor, naggs)
+		var rwork int64
+		for a := range realms {
+			rcs[a] = realms[a].Cursor()
+		}
+		hw := heapMerge(&scr.heap, ac, rcs, cb, func(a int, pc piece) {
+			perAgg[a] = append(perAgg[a], pc)
+		})
+		for _, rc := range rcs {
+			rwork += rc.Work()
+		}
+		for a := range perAgg {
+			pieces[a] = groupRounds(perAgg[a])
+		}
+		return pieces, []int64{ac.Work() + rwork + hw}
+	}
+	// The paper's base client algorithm: one pass over the access per
+	// aggregator — O(M·A) for enumerated filetypes, near O(M) for
+	// succinct ones thanks to instance skipping.
+	charges := make([]int64, naggs)
+	for a := 0; a < naggs; a++ {
+		ac := access.Cursor()
+		rc := realms[a].Cursor()
+		var ps []piece
+		intersect(ac, rc, cb, func(pc piece) { ps = append(ps, pc) })
+		charges[a] = ac.Work() + rc.Work()
+		pieces[a] = groupRounds(ps)
+	}
+	return pieces, charges
+}
+
+// encodeShare encodes one aggregator's share of a flattened access: the
+// file segments of its pieces, coalesced across round splits.
+func encodeShare(rp *roundPieces) []byte {
+	var segs []datatype.Seg
+	if rp != nil {
+		for _, pc := range rp.pieces {
+			if n := len(segs); n > 0 && segs[n-1].End() == pc.file.Off {
+				segs[n-1].Len += pc.file.Len
+			} else {
+				segs = append(segs, pc.file)
+			}
+		}
+	}
+	return datatype.EncodeSegs(segs)
+}
+
+// segsFlat wraps a sorted, disjoint list of absolute file segments as a
+// one-instance Flat: the shape of a flattened access, whether resolved
+// locally, received in an access exchange, or merged by pre-aggregation.
+func segsFlat(segs []datatype.Seg) datatype.Flat {
+	var extent, size int64
+	for _, s := range segs {
+		size += s.Len
+	}
+	if len(segs) > 0 {
+		extent = segs[len(segs)-1].End()
+	}
+	return datatype.Flat{Disp: 0, Extent: extent, Size: size, Count: 1, Limit: -1, Segs: segs}
 }
 
 // realms resolves the file realm set, honouring persistence.
@@ -931,7 +1082,7 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte, realm
 			return
 		}
 		err := f.WriteStream(pendSegs, pendData, method)
-		if err != nil && i.degradeNow() && method == mpiio.DataSieve {
+		if err != nil && i.degradeNow() && method.Sieves() {
 			p.Stats.Add(stats.CDegradedRounds, 1)
 			p.Trace.Instant2(p.Clock(), "degrade",
 				trace.I(trace.RoundTag, int64(round)), trace.S("op", "write"))
@@ -1178,7 +1329,7 @@ func (i *Impl) readRounds(f *mpiio.File, scr *rankScratch, stream []byte, realms
 					}
 				} else {
 					err := f.ReadStream(segs, rbuf, method)
-					if err != nil && i.degradeNow() && method == mpiio.DataSieve {
+					if err != nil && i.degradeNow() && method.Sieves() {
 						p.Stats.Add(stats.CDegradedRounds, 1)
 						p.Trace.Instant2(p.Clock(), "degrade",
 							trace.I(trace.RoundTag, int64(r)), trace.S("op", "read"))

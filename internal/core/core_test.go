@@ -284,7 +284,7 @@ func TestTreeRequestsMatchFlatRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree, err := colltest.RunWrite(cfg, wl, mpiio.Info{
-		Collective: core.New(core.Options{TreeRequests: true, Validate: true})})
+		Collective: core.New(core.Options{Exchange: core.ExchangeTree, Validate: true})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestTreeRequestsEnumerated(t *testing.T) {
 	// representation too, and read back correctly.
 	wl := baseWorkload()
 	wl.Enumerate = true
-	impl := core.New(core.Options{TreeRequests: true, Validate: true})
+	impl := core.New(core.Options{Exchange: core.ExchangeTree, Validate: true})
 	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: impl})
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +327,7 @@ func TestTreeRequestsCompactForSuccinctTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree, err := colltest.RunWrite(cfg, wl, mpiio.Info{
-		Collective: core.New(core.Options{TreeRequests: true})})
+		Collective: core.New(core.Options{Exchange: core.ExchangeTree})})
 	if err != nil {
 		t.Fatal(err)
 	}

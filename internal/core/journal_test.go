@@ -9,7 +9,6 @@ import (
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
-	"flexio/internal/twophase"
 )
 
 // TestJournalledOverwriteSameLayoutWrites is the regression test for the
@@ -31,7 +30,9 @@ func TestJournalledOverwriteSameLayoutWrites(t *testing.T) {
 			return core.New(core.Options{Journal: j})
 		},
 		"twophase": func(j *mpiio.WriteJournal) mpiio.Collective {
-			return twophase.NewJournaled(j)
+			o := core.ROMIO()
+			o.Journal = j
+			return core.New(o)
 		},
 	}
 	for name, mk := range mkColl {

@@ -51,7 +51,7 @@ type clientKey struct {
 }
 
 type clientEntry struct {
-	enc     []byte         // request encoding, as sent to every aggregator
+	enc     [][]byte       // per-aggregator request encodings
 	pieces  []*roundPieces // per-aggregator piece lists, immutable
 	charges []int64        // ChargePairs replay for the intersection section
 }
@@ -67,7 +67,7 @@ type aggKey struct {
 type aggEntry struct {
 	pieces  []*roundPieces // per-client piece lists, immutable
 	rounds  int
-	charges []int64 // [0] is the tree-expansion charge, rest per client
+	charges []int64 // [0] is the decoding charge, rest per client
 }
 
 // memoLimit bounds each cache map; overflowing clears the map outright

@@ -177,12 +177,7 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, stream []byte,
 		stream = bufpool.GetZero(total)
 	}
 
-	var extent int64
-	if len(merged) > 0 {
-		extent = merged[len(merged)-1].End()
-	}
-	mf := datatype.Flat{Disp: 0, Extent: extent, Size: total, Count: 1, Limit: -1, Segs: merged}
-	return stream, mf, ps
+	return stream, segsFlat(merged), ps
 }
 
 // preaggScatter distributes a read's merged stream back to the node's

@@ -105,7 +105,7 @@ func TestPreaggVariants(t *testing.T) {
 			o.Persistent = true
 		}},
 		{"tree-requests", func(wl *colltest.Workload, o *core.Options, in *mpiio.Info) {
-			o.TreeRequests = true
+			o.Exchange = core.ExchangeTree
 		}},
 		{"few-aggs", func(wl *colltest.Workload, o *core.Options, in *mpiio.Info) {
 			in.CbNodes = 3

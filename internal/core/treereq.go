@@ -11,7 +11,7 @@ import (
 // The paper's §5.3 also discusses "storing the datatypes in an even higher
 // level description": the constructor tree itself. For regular nested
 // types the tree is smaller still, at the cost of the aggregator expanding
-// (flattening) it on arrival. Options.TreeRequests selects this
+// (flattening) it on arrival. Options.Exchange = ExchangeTree selects this
 // representation.
 
 // encodeTreeRequest wraps a constructor tree with the tiling parameters of

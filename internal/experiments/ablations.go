@@ -11,7 +11,6 @@ import (
 	"flexio/internal/realm"
 	"flexio/internal/sim"
 	"flexio/internal/stats"
-	"flexio/internal/twophase"
 )
 
 // AblationParams scales the ablation studies.
@@ -49,7 +48,7 @@ func AblationExchange(p AblationParams) ([]Table, error) {
 		name string
 		coll func() mpiio.Collective
 	}{
-		{"old (flattened access)", func() mpiio.Collective { return twophase.New() }},
+		{"old (flattened access)", func() mpiio.Collective { return core.New(core.ROMIO()) }},
 		{"new (flattened filetype)", func() mpiio.Collective { return core.New(core.Options{}) }},
 		{"new+vect (enumerated)", func() mpiio.Collective { return core.New(core.Options{}) }},
 	}

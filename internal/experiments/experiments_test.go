@@ -223,6 +223,27 @@ func TestAblations(t *testing.T) {
 		if !(old[last].Value > old[0].Value*2) {
 			t.Errorf("A1: old req bytes not growing with regions: %v", old)
 		}
+
+		// The baseline's O(M) accounting, exactly: at 8 ranks every rank
+		// ships each aggregator a 4-byte list header plus 16 bytes per
+		// pair, and pays one pair per segment resolved, split, and
+		// received.
+		exact := map[string][]float64{
+			tables[0].Title: {33024, 65792, 131328, 262400, 524544},
+			tables[1].Title: {6144, 12288, 24576, 49152, 98304},
+		}
+		for _, tbl := range tables {
+			for _, s := range tbl.Series {
+				if s.Name != "old (flattened access)" {
+					continue
+				}
+				for k, pt := range s.Points {
+					if want := exact[tbl.Title][k]; pt.Value != want {
+						t.Errorf("%s: old at %s regions = %v, want %v", tbl.Title, pt.X, pt.Value, want)
+					}
+				}
+			}
+		}
 	})
 
 	t.Run("A2", func(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"flexio/internal/mpiio"
 	"flexio/internal/sim"
 	"flexio/internal/stats"
-	"flexio/internal/twophase"
 )
 
 // Fig4Params configures the Figure 4 reproduction: HPIO, noncontiguous in
@@ -78,7 +77,7 @@ func Fig4(p Fig4Params) ([]Table, error) {
 	}{
 		{"new+struct", false, func() mpiio.Collective { return core.New(core.Options{}) }},
 		{"new+vect", true, func() mpiio.Collective { return core.New(core.Options{}) }},
-		{"old+vec", true, func() mpiio.Collective { return twophase.New() }},
+		{"old+vec", true, func() mpiio.Collective { return core.New(core.ROMIO()) }},
 	}
 
 	tables := make([]Table, 0, len(p.AggCounts))

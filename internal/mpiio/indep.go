@@ -122,7 +122,9 @@ func (f *File) WriteStream(segs []datatype.Seg, data []byte, m Method) error {
 				return f.handle.WriteList(tail, data[skip:], now)
 			})
 		case DataSieve:
-			err = f.sieveWindows(segs, data, true)
+			err = f.sieveWindows(segs, data, true, f.info.SieveBufSize, true)
+		case Integrated:
+			err = f.sieveWindows(segs, data, true, f.info.CollBufSize, false)
 		default:
 			err = fmt.Errorf("mpiio: unknown access method %v", m)
 		}
@@ -176,7 +178,9 @@ func (f *File) ReadStream(segs []datatype.Seg, buf []byte, m Method) error {
 				return f.handle.ReadList(tail, buf[skip:], now)
 			})
 		case DataSieve:
-			err = f.sieveWindows(segs, buf, false)
+			err = f.sieveWindows(segs, buf, false, f.info.SieveBufSize, true)
+		case Integrated:
+			err = f.sieveWindows(segs, buf, false, f.info.CollBufSize, false)
 		default:
 			err = fmt.Errorf("mpiio: unknown access method %v", m)
 		}
@@ -185,13 +189,13 @@ func (f *File) ReadStream(segs []datatype.Seg, buf []byte, m Method) error {
 	return err
 }
 
-// sieveWindows splits a noncontiguous access into sieve-buffer-sized
-// windows and performs each as one contiguous read(-modify-write) through
-// the data sieve buffer. The pass through the sieve buffer is an extra
-// memory copy of the useful bytes — the double-buffering cost the paper
-// attributes to layering collective I/O on the independent path.
-func (f *File) sieveWindows(segs []datatype.Seg, data []byte, write bool) error {
-	sieve := f.info.SieveBufSize
+// sieveWindows splits a noncontiguous access into windows of at most
+// window bytes and performs each as one contiguous read(-modify-write).
+// With stage set, the useful bytes pass through a separate sieve buffer:
+// an extra memory copy — the double-buffering cost the paper attributes
+// to layering collective I/O on the independent path. Without it the
+// caller's buffer is the sieve buffer (Integrated).
+func (f *File) sieveWindows(segs []datatype.Seg, data []byte, write bool, window int64, stage bool) error {
 	cfg := f.proc.Config()
 	i := 0
 	pos := int64(0)
@@ -199,7 +203,7 @@ func (f *File) sieveWindows(segs []datatype.Seg, data []byte, write bool) error 
 	f.sievePending = pending
 	for i < len(pending) {
 		wlo := pending[i].Off
-		wend := wlo + sieve
+		wend := wlo + window
 		group := f.sieveGroup[:0]
 		var useful int64
 		j := i
@@ -220,12 +224,14 @@ func (f *File) sieveWindows(segs []datatype.Seg, data []byte, write bool) error 
 		span := datatype.Seg{Off: wlo, Len: group[len(group)-1].End() - wlo}
 		chunk := data[pos : pos+useful]
 
-		// The copy through the sieve buffer.
-		d := cfg.MemcpyTime(useful)
-		f.proc.Trace.Begin1(f.proc.Clock(), stats.PCopy, trace.I(trace.BytesTag, useful))
-		f.proc.AdvanceClock(d)
-		f.proc.ChargeTime(stats.PCopy, d)
-		f.proc.Trace.End(f.proc.Clock())
+		if stage {
+			// The copy through the sieve buffer.
+			d := cfg.MemcpyTime(useful)
+			f.proc.Trace.Begin1(f.proc.Clock(), stats.PCopy, trace.I(trace.BytesTag, useful))
+			f.proc.AdvanceClock(d)
+			f.proc.ChargeTime(stats.PCopy, d)
+			f.proc.Trace.End(f.proc.Clock())
+		}
 
 		var err error
 		if write {

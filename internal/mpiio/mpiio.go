@@ -39,7 +39,19 @@ const (
 	// ListIO passes the whole segment list to the file system in a
 	// single call (PVFS-style listio). No sieve buffer, one overhead.
 	ListIO
+	// Integrated is data sieving with the collective buffer as the sieve
+	// buffer, as ROMIO's two-phase implementation does it: each window of
+	// up to cb_buffer_size bytes is one contiguous read(-modify-write),
+	// and the useful bytes already sit in the collective buffer, so the
+	// staging copy DataSieve pays is skipped. It describes draining a
+	// collective buffer; independent accesses have no such buffer.
+	Integrated
 )
+
+// Sieves reports whether the method reads or writes whole covering
+// extents (the paths a graceful-degradation fallback replaces with naive
+// I/O).
+func (m Method) Sieves() bool { return m == DataSieve || m == Integrated }
 
 // String names the method.
 func (m Method) String() string {
@@ -50,14 +62,16 @@ func (m Method) String() string {
 		return "naive"
 	case ListIO:
 		return "listio"
+	case Integrated:
+		return "integrated"
 	default:
 		return fmt.Sprintf("method(%d)", int(m))
 	}
 }
 
-// Collective is a pluggable collective I/O implementation
-// (flexio/internal/core is the paper's; flexio/internal/twophase is the
-// ROMIO-style baseline).
+// Collective is a pluggable collective I/O implementation. The paper's
+// engine, flexio/internal/core, is the one in this repository; its
+// core.ROMIO configuration is the ROMIO-style two-phase baseline.
 type Collective interface {
 	Name() string
 	WriteAll(f *File, buf []byte, memtype datatype.Type, count int64) error

@@ -9,6 +9,7 @@ import (
 	"flexio/internal/mpi"
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
+	"flexio/internal/stats"
 )
 
 func single(t *testing.T, fn func(f *File, fs *pfs.FileSystem)) {
@@ -189,9 +190,33 @@ func roundTrip(t *testing.T, m Method) {
 	}
 }
 
-func TestRoundTripDataSieve(t *testing.T) { roundTrip(t, DataSieve) }
-func TestRoundTripNaive(t *testing.T)     { roundTrip(t, Naive) }
-func TestRoundTripListIO(t *testing.T)    { roundTrip(t, ListIO) }
+func TestRoundTripDataSieve(t *testing.T)  { roundTrip(t, DataSieve) }
+func TestRoundTripNaive(t *testing.T)      { roundTrip(t, Naive) }
+func TestRoundTripListIO(t *testing.T)     { roundTrip(t, ListIO) }
+func TestRoundTripIntegrated(t *testing.T) { roundTrip(t, Integrated) }
+
+// TestIntegratedSkipsStagingCopy: both sieve methods move the same
+// covering extent, but only DataSieve stages the useful bytes through a
+// separate sieve buffer, so only it charges a copy.
+func TestIntegratedSkipsStagingCopy(t *testing.T) {
+	segs := []datatype.Seg{{Off: 0, Len: 64}, {Off: 128, Len: 64}, {Off: 256, Len: 64}}
+	data := bytes.Repeat([]byte{7}, 192)
+	single(t, func(f *File, fs *pfs.FileSystem) {
+		for _, m := range []Method{Integrated, DataSieve} {
+			before := f.Proc().Stats.Time(stats.PCopy)
+			if err := f.WriteStream(segs, data, m); err != nil {
+				t.Fatalf("%v: %v", m, err)
+			}
+			copied := f.Proc().Stats.Time(stats.PCopy) - before
+			if (copied > 0) != (m == DataSieve) {
+				t.Errorf("%v charged %v of copy time", m, copied)
+			}
+			if !m.Sieves() {
+				t.Errorf("%v does not report sieving", m)
+			}
+		}
+	})
+}
 
 func TestSieveWindowSplitStraddle(t *testing.T) {
 	// A segment straddling the sieve window boundary must be split, and

@@ -24,9 +24,9 @@ func TestSpreadRanksRoundRobin(t *testing.T) {
 		want   []int
 	}{
 		{1, []int{0}},
-		{3, []int{0, 2, 4}},          // one per node, first nodes
-		{4, []int{0, 2, 4, 6}},       // one per node, all nodes
-		{5, []int{0, 1, 2, 4, 6}},    // second pass doubles up node 0
+		{3, []int{0, 2, 4}},       // one per node, first nodes
+		{4, []int{0, 2, 4, 6}},    // one per node, all nodes
+		{5, []int{0, 1, 2, 4, 6}}, // second pass doubles up node 0
 		{8, []int{0, 1, 2, 3, 4, 5, 6, 7}},
 	}
 	for _, c := range cases {

@@ -9,7 +9,6 @@ import (
 	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
-	"flexio/internal/twophase"
 )
 
 // SessionSpec configures a persistent steady-state session: one world with
@@ -30,7 +29,7 @@ type SessionSpec struct {
 	CollBuf int64
 	// CbNodes is the aggregator count (0 = every rank).
 	CbNodes int
-	// PFR enables persistent file realms (core engines only).
+	// PFR enables persistent file realms.
 	PFR bool
 }
 
@@ -93,18 +92,10 @@ func (s *Service) OpenSession(tenantName string, spec SessionSpec) (*Session, er
 	ses.met = ses.world.EnableMetrics()
 	ses.world.SetNodeMap(mpi.BlockNodeMap(s.cfg.NodeRanks))
 
-	var coll mpiio.Collective
-	opts := core.Options{Persistent: spec.PFR, Degrade: s.brk.AnyOpen}
-	switch spec.Engine {
-	case "core-a2a":
-		opts.Comm = core.Alltoallw
-		coll = core.New(opts)
-	case "twophase":
-		coll = twophase.NewDegradable(s.brk.AnyOpen)
-	default:
-		coll = core.New(opts)
-	}
-	info := mpiio.Info{Collective: coll, CollBufSize: spec.CollBuf, CbNodes: spec.CbNodes}
+	opts := engineOptions(spec.Engine)
+	opts.Persistent = spec.PFR
+	opts.Degrade = s.brk.AnyOpen
+	info := mpiio.Info{Collective: core.New(opts), CollBufSize: spec.CollBuf, CbNodes: spec.CbNodes}
 
 	mt, bufLen := wl.Memtype()
 	ses.mt = mt

@@ -41,7 +41,6 @@ import (
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
 	"flexio/internal/trace"
-	"flexio/internal/twophase"
 )
 
 // ErrAdmissionRejected is the sentinel every admission failure matches
@@ -135,7 +134,8 @@ type Job struct {
 	// that must not see each other's bytes use distinct files.
 	File string
 	// Engine selects the collective: "core-nb" (default, nonblocking
-	// pipeline), "core-a2a" (Alltoallw), or "twophase" (ROMIO baseline).
+	// pipeline), "core-a2a" (Alltoallw), or "twophase" (the core.ROMIO
+	// baseline).
 	Engine string
 	// Write selects the direction.
 	Write bool
@@ -539,24 +539,30 @@ func (s *Service) runAndFinish(t *Tenant, job Job, p *Pending) {
 
 // engine instantiates the job's collective with the breaker-driven degrade
 // hook installed, so a trip mid-collective reroutes failed sieve rounds.
-// When a breaker is already open at job start the core engines additionally
-// skip data sieving outright (naive I/O touches only useful bytes, keeping
-// traffic off the hurting OST's sieve spans).
+// When a breaker is already open at job start the engine additionally
+// skips data sieving outright (naive I/O touches only useful bytes,
+// keeping traffic off the hurting OST's sieve spans).
 func (s *Service) engine(name string, degradedStart bool) mpiio.Collective {
-	opts := core.Options{Degrade: s.brk.AnyOpen}
+	opts := engineOptions(name)
 	if degradedStart {
 		opts.Method = mpiio.Naive
 		opts.Degraded = true
 	}
+	opts.Degrade = s.brk.AnyOpen
+	return core.New(opts)
+}
+
+// engineOptions maps a job's engine label to its core configuration:
+// "core-a2a" is the Alltoallw exchange, "twophase" the ROMIO baseline
+// (core.ROMIO), and anything else the nonblocking pipeline.
+func engineOptions(name string) core.Options {
 	switch name {
 	case "core-a2a":
-		opts.Comm = core.Alltoallw
-		return core.New(opts)
+		return core.Options{Comm: core.Alltoallw}
 	case "twophase":
-		return twophase.NewDegradable(s.brk.AnyOpen)
-	default:
-		return core.New(opts)
+		return core.ROMIO()
 	}
+	return core.Options{}
 }
 
 // runJob executes one job in its own world against the shared file system

@@ -6,11 +6,18 @@ import (
 	"testing"
 
 	"flexio/internal/colltest"
+	"flexio/internal/core"
 	"flexio/internal/metrics"
 	"flexio/internal/mpiio"
 	"flexio/internal/sim"
-	"flexio/internal/twophase"
 )
+
+// romioPreagg is the baseline with node-local pre-aggregation on.
+func romioPreagg() mpiio.Collective {
+	o := core.ROMIO()
+	o.Preagg = true
+	return core.New(o)
+}
 
 // preaggImage runs one collective write and returns the verified image.
 func preaggImage(t *testing.T, wl colltest.Workload, info mpiio.Info) (colltest.Result, []byte) {
@@ -33,8 +40,8 @@ func TestPreaggWriteByteIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("nodes%d", nodeRanks), func(t *testing.T) {
 			wl := baseWorkload()
 			wl.NodeRanks = nodeRanks
-			_, plain := preaggImage(t, wl, mpiio.Info{Collective: twophase.New()})
-			_, merged := preaggImage(t, wl, mpiio.Info{Collective: twophase.New().WithPreagg()})
+			_, plain := preaggImage(t, wl, mpiio.Info{Collective: core.New(core.ROMIO())})
+			_, merged := preaggImage(t, wl, mpiio.Info{Collective: romioPreagg()})
 			if !bytes.Equal(plain, merged) {
 				t.Fatalf("pre-aggregated image differs from per-rank image")
 			}
@@ -50,7 +57,7 @@ func TestPreaggReadMatrix(t *testing.T) {
 		t.Run(fmt.Sprintf("nodes%d", nodeRanks), func(t *testing.T) {
 			wl := baseWorkload()
 			wl.NodeRanks = nodeRanks
-			info := mpiio.Info{Collective: twophase.New().WithPreagg()}
+			info := mpiio.Info{Collective: romioPreagg()}
 			if _, err := colltest.RunReadBack(sim.DefaultConfig(), wl, info); err != nil {
 				t.Fatal(err)
 			}
@@ -83,8 +90,8 @@ func TestPreaggVariants(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			wl := baseWorkload()
 			wl.NodeRanks = 4
-			plainInfo := mpiio.Info{Collective: twophase.New()}
-			preInfo := mpiio.Info{Collective: twophase.New().WithPreagg()}
+			plainInfo := mpiio.Info{Collective: core.New(core.ROMIO())}
+			preInfo := mpiio.Info{Collective: romioPreagg()}
 			tc.tune(&wl, &plainInfo)
 			wl2 := baseWorkload()
 			wl2.NodeRanks = 4
@@ -105,7 +112,7 @@ func TestPreaggVariants(t *testing.T) {
 func TestPreaggShuffleAccounting(t *testing.T) {
 	wl := baseWorkload()
 	wl.NodeRanks = 4
-	info := mpiio.Info{Collective: twophase.New().WithPreagg()}
+	info := mpiio.Info{Collective: romioPreagg()}
 	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, info)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +137,7 @@ func TestPreaggShuffleAccounting(t *testing.T) {
 func TestPreaggLeaderCarriesRoundData(t *testing.T) {
 	wl := baseWorkload()
 	wl.NodeRanks = 4
-	info := mpiio.Info{Collective: twophase.New().WithPreagg()}
+	info := mpiio.Info{Collective: romioPreagg()}
 	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, info)
 	if err != nil {
 		t.Fatal(err)

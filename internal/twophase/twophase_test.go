@@ -1,3 +1,10 @@
+// Package twophase_test is the regression suite of the ROMIO-style
+// two-phase baseline (Thakur, Gropp, Lusk — "Data sieving and collective
+// I/O in ROMIO"). The baseline is no longer a separate engine: it is the
+// core engine's ROMIO configuration (core.ROMIO — flattened-access
+// requests pre-split per aggregator, even contiguous file domains, data
+// sieving inside the collective buffer), and every test here runs that
+// configuration. The directory holds no code of its own.
 package twophase_test
 
 import (
@@ -9,7 +16,6 @@ import (
 	"flexio/internal/mpiio"
 	"flexio/internal/sim"
 	"flexio/internal/stats"
-	"flexio/internal/twophase"
 )
 
 func baseWorkload() colltest.Workload {
@@ -24,7 +30,7 @@ func baseWorkload() colltest.Workload {
 
 func TestWriteAll(t *testing.T) {
 	wl := baseWorkload()
-	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: twophase.New()})
+	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: core.New(core.ROMIO())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +41,7 @@ func TestWriteAll(t *testing.T) {
 
 func TestReadAll(t *testing.T) {
 	wl := baseWorkload()
-	if _, err := colltest.RunReadBack(sim.DefaultConfig(), wl, mpiio.Info{Collective: twophase.New()}); err != nil {
+	if _, err := colltest.RunReadBack(sim.DefaultConfig(), wl, mpiio.Info{Collective: core.New(core.ROMIO())}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -45,7 +51,7 @@ func TestWriteAllAggregatorCounts(t *testing.T) {
 	for _, naggs := range []int{1, 2, 5, 8} {
 		t.Run(fmt.Sprintf("naggs=%d", naggs), func(t *testing.T) {
 			res, err := colltest.RunWrite(sim.DefaultConfig(), wl,
-				mpiio.Info{Collective: twophase.New(), CbNodes: naggs})
+				mpiio.Info{Collective: core.New(core.ROMIO()), CbNodes: naggs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +65,7 @@ func TestWriteAllAggregatorCounts(t *testing.T) {
 func TestWriteAllManyRounds(t *testing.T) {
 	wl := baseWorkload()
 	res, err := colltest.RunWrite(sim.DefaultConfig(), wl,
-		mpiio.Info{Collective: twophase.New(), CollBufSize: 192})
+		mpiio.Info{Collective: core.New(core.ROMIO()), CollBufSize: 192})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +77,7 @@ func TestWriteAllManyRounds(t *testing.T) {
 func TestWriteAllEnumeratedFiletype(t *testing.T) {
 	wl := baseWorkload()
 	wl.Enumerate = true
-	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: twophase.New()})
+	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: core.New(core.ROMIO())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +90,7 @@ func TestWriteAllNoncontigMemory(t *testing.T) {
 	wl := baseWorkload()
 	wl.MemNoncontig = true
 	wl.MemGap = 24
-	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: twophase.New()})
+	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: core.New(core.ROMIO())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +101,7 @@ func TestWriteAllNoncontigMemory(t *testing.T) {
 
 func TestSingleRank(t *testing.T) {
 	wl := colltest.Workload{Ranks: 1, RegionSize: 100, RegionCount: 17, Spacing: 28}
-	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: twophase.New()})
+	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: core.New(core.ROMIO())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +115,7 @@ func TestSingleRank(t *testing.T) {
 func TestOldAndNewProduceIdenticalFiles(t *testing.T) {
 	wl := colltest.Workload{Ranks: 6, RegionSize: 48, RegionCount: 57, Spacing: 80, Disp: 13}
 	cfg := sim.DefaultConfig()
-	old, err := colltest.RunWrite(cfg, wl, mpiio.Info{Collective: twophase.New(), CollBufSize: 1024})
+	old, err := colltest.RunWrite(cfg, wl, mpiio.Info{Collective: core.New(core.ROMIO()), CollBufSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +144,7 @@ func TestOldAndNewProduceIdenticalFiles(t *testing.T) {
 func TestRequestVolumeOldVsNew(t *testing.T) {
 	wl := colltest.Workload{Ranks: 4, RegionSize: 8, RegionCount: 4096, Spacing: 120}
 	cfg := sim.DefaultConfig()
-	old, err := colltest.RunWrite(cfg, wl, mpiio.Info{Collective: twophase.New()})
+	old, err := colltest.RunWrite(cfg, wl, mpiio.Info{Collective: core.New(core.ROMIO())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +165,14 @@ func TestRequestVolumeOldVsNew(t *testing.T) {
 	}
 }
 
-// TestIntegratedSieveSingleCopy: the old implementation passes data through
-// one buffer; the new one (sieve mode) passes it through two. The copy
-// phase accounting must reflect that.
+// TestIntegratedSieveSingleCopy: the old implementation sieves inside the
+// collective buffer; the new one (sieve mode) stages the useful bytes
+// through a second, separate sieve buffer. The copy phase accounting must
+// reflect that.
 func TestIntegratedSieveSingleCopy(t *testing.T) {
 	wl := baseWorkload()
 	cfg := sim.DefaultConfig()
-	old, err := colltest.RunWrite(cfg, wl, mpiio.Info{Collective: twophase.New()})
+	old, err := colltest.RunWrite(cfg, wl, mpiio.Info{Collective: core.New(core.ROMIO())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +188,11 @@ func TestIntegratedSieveSingleCopy(t *testing.T) {
 	}
 }
 
+// TestName: the baseline's name says which exchange and buffer access
+// method it runs, so flight dumps and CLI output identify it.
 func TestName(t *testing.T) {
-	if twophase.New().Name() != "romio-twophase" {
-		t.Fatal("unexpected name")
+	const want = "flexio(even,nonblocking,access,integrated)"
+	if got := core.New(core.ROMIO()).Name(); got != want {
+		t.Fatalf("name = %q, want %q", got, want)
 	}
 }
