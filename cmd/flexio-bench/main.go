@@ -34,13 +34,10 @@ func main() {
 	tracePath := flag.String("trace", "", "write the last experiment's Chrome trace JSON (Perfetto-loadable) to this file")
 	breakdown := flag.Bool("breakdown", false, "print the last experiment's per-phase/per-round trace breakdown")
 	critRun := flag.Bool("critpath", false, "print the last experiment's critical-path profile (virtual-time causal DAG)")
-	chaosRun := flag.Bool("chaos", false, "run the deterministic fault-injection scenario matrix instead of the figures")
-	rankChaosRun := flag.Bool("rankchaos", false, "run the rank-failure/failover scenario matrix instead of the figures")
-	tenantChaosRun := flag.Bool("tenantchaos", false, "run the multi-tenant interference scenario matrix instead of the figures")
-	corruptRun := flag.Bool("corrupt", false, "run the data-corruption scenario matrix (wire/at-rest/torn × repair/abort) instead of the figures")
+	chaosRun := flag.Bool("chaos", false, "run the chaos scenario matrix (storage, rank and corruption faults) and the multi-tenant interference matrix instead of the figures")
 	integrityJSON := flag.String("integrityjson", "", "run the tracked benchmark matrix with the checksummed datapath enabled and record the rows under 'after' in this JSON trajectory file")
 	integrityCheck := flag.String("integritycheck", "", "run the tracked benchmark matrix with the checksummed datapath enabled and fail if allocs/op exceed the clean 'after' entries of this JSON file (BENCH_PR3.json) or virtual time regresses >5%")
-	chaosTraces := flag.String("chaostraces", "", "directory to write chaos scenarios' Chrome traces and flight dumps into")
+	chaosTraces := flag.String("chaostraces", "", "directory to write every chaos scenario's artifacts into (trace, critical path, flight dump, comm matrix, differential report)")
 	benchJSON := flag.String("benchjson", "", "run the tracked benchmark matrix and merge results into this JSON trajectory file")
 	benchLabel := flag.String("benchlabel", "after", "label to store -benchjson results under (e.g. before, after, ci)")
 	benchCheck := flag.String("benchcheck", "", "run the tracked benchmark matrix and fail if allocs/op regress >20% against the 'after' entries of this JSON file")
@@ -111,41 +108,13 @@ func main() {
 
 	if *chaosRun {
 		logf := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
-		if failures := chaos.Soak(chaos.Matrix(), *chaosTraces, logf); failures > 0 {
+		failures := chaos.Soak(chaos.Matrix(), *chaosTraces, logf)
+		failures += chaos.TenantSoak(chaos.TenantMatrix(), *chaosTraces, logf)
+		if failures > 0 {
 			fmt.Fprintf(os.Stderr, "chaos: %d scenario(s) violated invariants\n", failures)
 			os.Exit(1)
 		}
 		fmt.Println("chaos: all scenarios held their invariants")
-		return
-	}
-
-	if *rankChaosRun {
-		logf := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
-		if failures := chaos.RankSoak(chaos.RankMatrix(), *chaosTraces, logf); failures > 0 {
-			fmt.Fprintf(os.Stderr, "rankchaos: %d scenario(s) violated invariants\n", failures)
-			os.Exit(1)
-		}
-		fmt.Println("rankchaos: all scenarios recovered byte-identically")
-		return
-	}
-
-	if *tenantChaosRun {
-		logf := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
-		if failures := chaos.TenantSoak(chaos.TenantMatrix(), *chaosTraces, logf); failures > 0 {
-			fmt.Fprintf(os.Stderr, "tenantchaos: %d scenario(s) violated invariants\n", failures)
-			os.Exit(1)
-		}
-		fmt.Println("tenantchaos: all scenarios held their invariants")
-		return
-	}
-
-	if *corruptRun {
-		logf := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
-		if failures := chaos.CorruptSoak(chaos.CorruptMatrix(), *chaosTraces, logf); failures > 0 {
-			fmt.Fprintf(os.Stderr, "corrupt: %d scenario(s) violated invariants\n", failures)
-			os.Exit(1)
-		}
-		fmt.Println("corrupt: every injected flip was repaired or aborted uniformly; no silent corruption")
 		return
 	}
 

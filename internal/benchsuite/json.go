@@ -64,7 +64,7 @@ func Measure(cfg Config) (Result, error) {
 	if failed || r.N == 0 {
 		return Result{}, fmt.Errorf("benchsuite: %s failed to run", cfg.Name)
 	}
-	return Result{
+	res := Result{
 		Name:                cfg.Name,
 		NsPerOp:             float64(r.NsPerOp()),
 		BytesPerOp:          r.AllocedBytesPerOp(),
@@ -76,10 +76,15 @@ func Measure(cfg Config) (Result, error) {
 		InterNodeFrac:       r.Extra["internode-frac"],
 		CritPathCoverage:    r.Extra["critpath-cover"],
 		InterNodeBytesPerOp: r.Extra["internode-B/op"],
-		SampledRanks:        r.Extra["sampled-ranks"],
-		RollupBytes:         r.Extra["rollup-B"],
 		BlindSpotFrac:       r.Extra["blind-spot"],
-	}, nil
+	}
+	if cfg.SampleK > 0 || cfg.Rollup {
+		var err error
+		if res.SampledRanks, res.RollupBytes, err = telemetryFigures(cfg); err != nil {
+			return Result{}, err
+		}
+	}
+	return res, nil
 }
 
 // MeasureAll measures every config in the default matrix.

@@ -754,13 +754,13 @@ func TenantSoak(scenarios []TenantScenario, traceDir string, logf func(format st
 			met, sink := out.Service.LastArtifacts(st.Name)
 			if met != nil {
 				path := traceDir + "/" + s.Name() + "." + st.Name + ".flight.json"
-				if werr := writeFlightFile(met, path); werr == nil {
+				if werr := writeArtifact(path, met.Dump(false).WriteJSON); werr == nil {
 					logf("  flight recorder written to %s", path)
 				}
 			}
 			if sink != nil {
 				path := traceDir + "/" + s.Name() + "." + st.Name + ".critpath.txt"
-				if werr := writeCritPathFile(sink, path); werr == nil {
+				if werr := writeArtifact(path, critPathArtifact(sink)); werr == nil {
 					logf("  critical path written to %s", path)
 				}
 			}
@@ -778,7 +778,7 @@ func TenantSoak(scenarios []TenantScenario, traceDir string, logf func(format st
 		}
 		if len(pair) == 2 {
 			path := traceDir + "/" + s.Name() + ".report.txt"
-			if werr := writeDiffFile(pair[0], pair[1], path); werr == nil {
+			if werr := writeArtifact(path, diffArtifact(pair[0], pair[1])); werr == nil {
 				logf("  cross-tenant report written to %s", path)
 			}
 		}
